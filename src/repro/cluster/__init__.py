@@ -11,7 +11,8 @@ provides the in-process stand-in:
   overlap accounting;
 * :mod:`repro.cluster.grid` — the P x Q process grid and 2-D
   block-cyclic distribution maps HPL uses;
-* :mod:`repro.cluster.panel_bcast` — panel broadcast along process rows;
+* :mod:`repro.cluster.panel_bcast` — the non-blocking panel broadcast
+  along process rows of the look-ahead schedule;
 * :mod:`repro.cluster.swap` — distributed pivot row exchange;
 * :mod:`repro.cluster.hpl_mpi` — the distributed LU/HPL: numerically
   real, verified against the single-node factorization, with traffic
@@ -35,8 +36,6 @@ from repro.cluster.comm import (
 )
 from repro.cluster.grid import ProcessGrid, BlockCyclic
 from repro.cluster.panel_bcast import (
-    bcast_along_row,
-    bcast_along_col,
     ibcast_panel_start,
     ibcast_panel_post,
     ibcast_panel_finish,
@@ -70,8 +69,6 @@ __all__ = [
     "waitall",
     "ProcessGrid",
     "BlockCyclic",
-    "bcast_along_row",
-    "bcast_along_col",
     "ibcast_panel_start",
     "ibcast_panel_post",
     "ibcast_panel_finish",

@@ -38,9 +38,14 @@ accounting into ``staged_bytes`` (pooled staging) vs ``copied_bytes``
 (fresh deep copies), so overlap accounting distinguishes reused
 staging from true allocation.
 
-Determinism and safety: queue operations use a global timeout so a
-deadlocked exchange fails the test with :class:`CommError` instead of
-hanging, and ``World.run`` re-raises the first rank exception.
+Determinism and safety: every blocking receive (``recv``, a waited
+``irecv``, reliable mode) runs one loop, :meth:`Comm._await`. It fails
+with :class:`CommError` when its deadline passes, with
+:class:`RankDeadError` when the peer died, and at once when the peer is
+*gone*: its body returned, its background sender drained and its
+mailbox holds nothing more, so the message can never come. A stuck
+world thus fails in milliseconds and names the rank, peer and tag;
+``World.run`` re-raises the first rank exception.
 
 Hardened (resilient) mode: constructing the world with a
 :class:`~repro.resilience.faults.FaultInjector` and/or a
@@ -91,8 +96,8 @@ DEFAULT_TIMEOUT_S = 60.0
 #: Default segment size for chunked transfers (the CLI's ``--chunk-kb``).
 DEFAULT_CHUNK_BYTES = 256 * 1024
 
-#: Pump granularity of the reliable receive loop: how often a blocked
-#: rank re-checks the dead-rank registry and its retry deadline.
+#: Pump granularity of the receive loop: how often a blocked rank
+#: re-checks whether its peer died or is gone, and its deadline.
 _POLL_SLICE_S = 0.05
 
 #: Envelopes a sender retains per (dest, tag) channel for resends.
@@ -503,32 +508,10 @@ class RecvRequest(Request):
                 return False
 
     def wait(self, timeout: Optional[float] = None) -> Any:
-        if self._done:
-            return self._value
-        if self.test():  # already arrived: fully hidden receive
-            return self._value
-        comm = self._comm
-        if comm.world.retry is not None and timeout is None:
-            # Hardened channel: run the retry/timeout state machine
-            # instead of the single long block.
-            self._value = comm._recv_reliable(self.source, self.tag)
+        if not self.test():  # not arrived yet: block in the receive loop
+            self._value = self._comm._await(self.source, self.tag, timeout)
             self._done = True
-            return self._value
-        key = (self.source, self.tag)
-        limit = comm.world.timeout_s if timeout is None else timeout
-        t0 = time.perf_counter()
-        while True:
-            if not comm._pump(self.source, timeout=limit):
-                raise CommError(
-                    f"rank {comm.rank} timed out waiting for tag {self.tag} "
-                    f"from {self.source}"
-                )
-            q = comm._stash.get(key)
-            if q:
-                self._value = q.popleft()
-                self._done = True
-                comm.stats.add_wait(time.perf_counter() - t0)
-                return self._value
+        return self._value
 
 
 def waitall(requests: Sequence[Request], timeout: Optional[float] = None) -> List[Any]:
@@ -572,6 +555,8 @@ class World:
         self._dead_lock = threading.Lock()
         #: Per-rank exception of the last :meth:`run` (None = clean).
         self._errors: List[Optional[BaseException]] = [None] * size
+        #: Ranks whose body of the current :meth:`run` returned or raised.
+        self._exited: set = set()
         self._closed = False
         self._boxes: Dict[Tuple[int, int], queue.Queue] = {
             (s, d): queue.Queue() for s in range(size) for d in range(size)
@@ -590,6 +575,11 @@ class World:
         """Whether ``rank`` has been declared failed."""
         with self._dead_lock:
             return rank in self._dead
+
+    def has_exited(self, rank: int) -> bool:
+        """Whether ``rank``'s body of the current :meth:`run` is over."""
+        with self._dead_lock:
+            return rank in self._exited
 
     def crashed_ranks(self) -> List[int]:
         """Ranks whose body raised a *root-cause* (non-comm) exception
@@ -614,6 +604,7 @@ class World:
         results: List[Any] = [None] * self.size
         errors: List[Optional[BaseException]] = [None] * self.size
         self._errors = errors
+        self._exited = set()
 
         def runner(rank: int) -> None:
             try:
@@ -622,6 +613,9 @@ class World:
                 errors[rank] = exc
                 self.declare_dead(rank)
                 self._barrier.abort()
+            finally:
+                with self._dead_lock:
+                    self._exited.add(rank)
 
         threads = [
             threading.Thread(target=runner, args=(r,), daemon=True)
@@ -777,6 +771,15 @@ class Comm:
             req.drain_s = time.perf_counter() - t0
             self.stats.add_drain(req.drain_s)
             req._event.set()
+            q.task_done()
+
+    def _tx_idle(self) -> bool:
+        """Whether every posted ``isend`` has reached its mailbox."""
+        q = self._tx_queue
+        if q is None:
+            return True
+        with q.mutex:
+            return q.unfinished_tasks == 0
 
     def _deliver(
         self, obj: Any, dest: int, tag: int, chunk_bytes: Optional[int], op: str
@@ -959,27 +962,49 @@ class Comm:
         if envs:
             self.rstats.record_resends(len(envs))
 
-    def _recv_reliable(self, source: int, tag: int) -> Any:
-        """Blocking receive under the retry state machine: wait in
-        backoff-growing slices, requesting a resend whenever a slice
-        expires, until the message lands or the budget is exhausted."""
-        policy = self.world.retry
+    def _peer_gone(self, source: int, key: Tuple[int, int]) -> bool:
+        """Whether ``source`` can send nothing more to this rank: its
+        body returned or raised, its background sender drained, and its
+        mailbox, re-checked after seeing both, leaves ``key`` unmatched."""
+        if not (self.world.has_exited(source)
+                and self.world.comms[source]._tx_idle()):
+            return False
+        while self._pump(source, timeout=None):
+            pass
+        return not self._stash.get(key)
+
+    def _await(self, source: int, tag: int, timeout: Optional[float] = None) -> Any:
+        """The one blocking receive loop, behind ``recv`` and
+        ``RecvRequest.wait``.
+
+        Plain mode (or an explicit ``timeout``) waits under one deadline.
+        Reliable mode runs the retry state machine: backoff-growing
+        slices, a resend request whenever a slice expires, until the
+        message lands or the budget is exhausted. Either way a dead peer
+        raises :class:`RankDeadError`; a gone peer raises
+        :class:`CommError` in plain mode, and in reliable mode expires
+        the slice at once, since only a resend can still deliver.
+        """
         key = (source, tag)
+        policy = self.world.retry if timeout is None else None
         t0 = time.perf_counter()
         attempt = 0
-        deadline = t0 + policy.slice_s(0)
+        if policy is not None:
+            deadline = t0 + policy.slice_s(0)
+        else:
+            deadline = t0 + (self.world.timeout_s if timeout is None else timeout)
         while True:
             q = self._stash.get(key)
             if q:
                 self.stats.add_wait(time.perf_counter() - t0)
                 return q.popleft()
-            if self.world.is_dead(source):
-                raise RankDeadError(
-                    f"rank {self.rank}: peer {source} died while waiting "
-                    f"for tag {tag}"
-                )
             now = time.perf_counter()
             if now >= deadline:
+                if policy is None:
+                    raise CommError(
+                        f"rank {self.rank} timed out receiving tag {tag} "
+                        f"from {source}"
+                    )
                 attempt += 1
                 self.rstats.record_retry(attempt)
                 if attempt > policy.max_retries:
@@ -992,9 +1017,22 @@ class Comm:
                     source, tag, self._in_seq.get(key, 0), force=True
                 )
                 deadline = now + policy.slice_s(attempt)
-            self._pump(
+            if self._pump(
                 source, timeout=max(1e-4, min(_POLL_SLICE_S, deadline - now))
-            )
+            ):
+                continue
+            if self.world.is_dead(source):
+                raise RankDeadError(
+                    f"rank {self.rank}: peer {source} died while waiting "
+                    f"for tag {tag}"
+                )
+            if self._peer_gone(source, key):
+                if policy is None:
+                    raise CommError(
+                        f"rank {self.rank}: peer {source} exited without "
+                        f"sending tag {tag}"
+                    )
+                deadline = now
 
     def _check_rank(self, rank: int, role: str) -> None:
         if not 0 <= rank < self.size:
@@ -1024,19 +1062,7 @@ class Comm:
 
     def recv(self, source: int, tag: int = 0) -> Any:
         self._check_rank(source, "source")
-        if self.world.retry is not None:
-            return self._recv_reliable(source, tag)
-        key = (source, tag)
-        while True:
-            q = self._stash.get(key)
-            if q:
-                return q.popleft()
-            t0 = time.perf_counter()
-            if not self._pump(source, timeout=self.world.timeout_s):
-                raise CommError(
-                    f"rank {self.rank} timed out receiving tag {tag} from {source}"
-                )
-            self.stats.add_wait(time.perf_counter() - t0)
+        return self._await(source, tag)
 
     def irecv(self, source: int, tag: int = 0) -> RecvRequest:
         """Non-blocking receive: matching happens at ``test``/``wait``;

@@ -2,46 +2,51 @@
 
 The full multi-node benchmark: every rank generates its own block-cyclic
 piece of the global HPL matrix (using the jumpable generator, exactly as
-real HPL does), then the grid factors it stage by stage:
+real HPL does), then the grid factors it in one stage loop, like netlib
+HPL's with its look-ahead ``DEPTH`` of 0 or 1. Stage *k*:
 
 1. the owner column gathers the stage panel to the diagonal rank, which
    factors it with partial pivoting and scatters the factored rows back
    (a gather-based panel factorization — simple, and bit-identical to
    the single-node panel, which is what lets the tests verify the
    distributed run against :func:`repro.lu.factorize.blocked_lu`);
-2. the pivot pairs broadcast world-wide and every process column applies
-   the distributed row exchange (:mod:`repro.cluster.swap`);
-3. the factored panel broadcasts along process rows
-   (:mod:`repro.cluster.panel_bcast`); the diagonal row solves its U
-   blocks (DTRSM) and broadcasts them down the columns;
-4. every rank GEMM-updates its local trailing block.
+2. the panel and its pivots travel to every rank, and every process
+   column applies the distributed row exchange
+   (:mod:`repro.cluster.swap`);
+3. the diagonal row solves its U blocks (DTRSM), which travel down the
+   process columns;
+4. every rank GEMM-updates its local trailing block, the next panel's
+   columns first ("early"), then the rest.
 
-With ``lookahead=True`` the schedule is restructured into the paper's
-Section IV pipeline: during stage *k*'s trailing update the next panel's
-owner column updates **its own next-panel columns first**, factors panel
-*k+1* and starts broadcasting it (pivots riding along) with non-blocking
-chunked ``isend`` — then finishes the rest of its trailing update while
-the broadcast drains on the background sender threads. Every other
-column posts its panel ``irecv`` before updating, so by the time stage
-*k+1* begins the panel has usually already landed and the broadcast
-never sits on the critical path. The U broadcast is overlapped the same
-way (``isend`` per column peer). The factorization is bit-for-bit
-identical to the synchronous schedule — only the order of independent
-work changes — and the overlap is real wall-clock, since BLAS releases
-the GIL under the communication threads.
+Depth changes only *when* panel *k* is factored and *how* the panel,
+pivots and U travel. At depth 0 (``lookahead=False``) the panel is
+factored at the top of stage *k*, the pivots broadcast world-wide, the
+panel along process rows with the configured algorithm and U down the
+columns, all with blocking collectives. At depth 1 (``lookahead=True``,
+the paper's Section IV pipeline) the owner column of panel *k+1*
+factors it inside stage *k*, right after its early update, and starts
+its broadcast (pivots riding along) with non-blocking chunked ``isend``
+— then finishes the rest of its update while the broadcast drains on
+the background sender threads. Every other column posts its panel
+``irecv`` at the same point, so by the time stage *k+1* begins the
+panel has usually already landed. U travels by ``isend`` per column
+peer. Both depths issue the same kernel calls on the same operands, so
+the factorization is bit-for-bit identical; only the order of
+independent work changes, and the overlap is real wall-clock, since
+BLAS releases the GIL under the communication threads.
 
 After the last stage the matrix is gathered at rank 0, the system is
 solved and the HPL residual checked. Per-rank traffic statistics and
-overlap accounting (exposed wait time vs. hidden drain time) are
-reported so the cluster timing model can be cross-checked against the
-actual communication volume.
+overlap accounting (exposed wait time vs. hidden drain time; per stage
+on rank 0 at depth 1) are reported so the cluster timing model can be
+cross-checked against the actual communication volume.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +55,13 @@ from repro.blas.gemm import gemm
 from repro.blas.getrf import getrf
 from repro.blas.trsm import trsm_lower_unit_left
 from repro.blas.workspace import PackCache
-from repro.cluster.comm import Comm, DEFAULT_CHUNK_BYTES, RecvRequest, World
+from repro.cluster.comm import (
+    Comm,
+    DEFAULT_CHUNK_BYTES,
+    RecvRequest,
+    SendRequest,
+    World,
+)
 from repro.cluster.grid import BlockCyclic, ProcessGrid
 from repro.cluster.bcast_algos import (
     binomial_bcast,
@@ -152,15 +163,121 @@ class DistributedResult(RunResult):
     kind = "distributed"
 
 
+class _StageWire:
+    """How one rank's panel, pivots and U travel at look-ahead depth 0 or 1.
+
+    Depth 0 uses blocking collectives at the top of each stage: the
+    pivots broadcast world-wide, the panel rows along the process row
+    with the configured algorithm (timed as ``comm.bcast.<algo>``) and
+    U down the process column. Depth 1 sends the panel with its pivots
+    riding along as a non-blocking ``ibcast_panel_*`` launched one stage
+    early, and U as one ``isend`` per column peer; ``sends`` holds the
+    requests still draining.
+    """
+
+    def __init__(self, hpl: "DistributedHPL", comm: Comm, depth: int):
+        self.comm, self.grid, self.depth = comm, hpl.grid, depth
+        self.algo, self.chunk = hpl.bcast_algo, hpl.chunk_bytes
+        self.my_row, self.my_col = hpl.grid.coords(comm.rank)
+        self.sends: List[SendRequest] = []
+        self.pending: Optional[RecvRequest] = None
+        self.bcast_wall_s, self.bcast_calls = 0.0, 0
+
+    def launch(self, k: int, panel) -> None:
+        """Start panel ``k`` on its way (depth 1 only): its owner column
+        starts the broadcast, every other column posts the receive."""
+        if not self.depth:
+            return
+        owner_col, tag = k % self.grid.q, _PANEL_TAG + k
+        if self.my_col == owner_col:
+            self.sends += ibcast_panel_start(
+                self.comm, self.grid, panel, owner_col, tag,
+                algo=self.algo, chunk_bytes=self.chunk,
+            )
+        else:
+            self.pending = ibcast_panel_post(
+                self.comm, self.grid, owner_col, tag, algo=self.algo
+            )
+
+    def panel(self, k: int, panel):
+        """Panel ``k`` as this rank's ``(g_rows, rows, ipiv)``; ``panel``
+        is the owner column's own factored slice (None elsewhere)."""
+        comm, grid = self.comm, self.grid
+        owner_col = k % grid.q
+        mine = self.my_col == owner_col
+        if self.depth:
+            if mine:
+                return panel
+            got, fwd = ibcast_panel_finish(
+                comm, grid, self.pending, owner_col, _PANEL_TAG + k,
+                algo=self.algo, chunk_bytes=self.chunk,
+            )
+            self.sends += fwd
+            return got
+        ipiv = comm.bcast(
+            panel[2] if mine else None,
+            root=grid.rank_of(k % grid.p, owner_col),
+        )
+        t0 = time.perf_counter()
+        g_rows, rows = self._row_bcast(panel[:2] if mine else None, owner_col)
+        self.bcast_wall_s += time.perf_counter() - t0
+        self.bcast_calls += 1
+        return g_rows, rows, ipiv
+
+    def _row_bcast(self, payload, owner_col: int):
+        """Blocking panel broadcast along this rank's process row."""
+        comm = self.comm
+        group = self.grid.row_ranks(self.my_row)
+        root = self.grid.rank_of(self.my_row, owner_col)
+        if self.algo == "ring":
+            return ring_bcast(comm, payload, root, group)
+        if self.algo == "binomial":
+            return binomial_bcast(comm, payload, root, group)
+        if self.algo == "ring-mod":
+            segments = 1
+            if payload is not None:
+                segments = max(1, -(-payload[1].nbytes // self.chunk))
+            return segmented_ring_bcast_nb(
+                comm, payload, root, group, segments=segments
+            )
+        return comm.bcast(payload, root=root, ranks=group)
+
+    def u(self, k: int, u_block):
+        """Stage ``k``'s U blocks down this rank's process column from
+        the diagonal row, which passes its own ``u_block`` (None
+        elsewhere)."""
+        comm = self.comm
+        root = self.grid.rank_of(k % self.grid.p, self.my_col)
+        peers = self.grid.col_ranks(self.my_col)
+        if not self.depth:
+            return comm.bcast(u_block, root=root, ranks=peers)
+        if comm.rank != root:
+            return comm.recv(root, tag=_U_TAG + k)
+        for peer in peers:
+            if peer != comm.rank:
+                self.sends.append(comm.isend(
+                    u_block, peer, tag=_U_TAG + k, chunk_bytes=self.chunk,
+                    op="bcast",
+                ))
+        return u_block
+
+    def settle(self) -> None:
+        """Drop completed sends, crediting their hidden drain time."""
+        self.sends = [r for r in self.sends if not r.test()]
+
+
 class DistributedHPL:
     """HPL on a P x Q grid of simulated ranks.
 
     With ``use_offload=True`` every rank's local trailing update runs
     through the offload-DGEMM engine (tiles, queues, work stealing) —
     the complete multi-node hybrid system of Section V, executed
-    numerically end to end. With ``lookahead=True`` the stages run the
-    paper's look-ahead pipeline over the non-blocking communicator:
-    panel broadcasts (and pivots) overlap the trailing update.
+    numerically end to end. With ``lookahead=True`` the stage loop runs
+    at look-ahead depth 1, the paper's pipeline over the non-blocking
+    communicator: panel broadcasts (and pivots) overlap the trailing
+    update. ``bcast_algo`` picks the panel broadcast; at depth 1 the
+    ring shapes store-and-forward and ``binomial`` runs as a star on
+    every grid.
     """
 
     #: Panel-broadcast algorithm choices (HPL's BCAST menu, abridged).
@@ -525,9 +642,10 @@ class DistributedHPL:
             )
         return cursor, pivots, panel_state
 
-    # -- the synchronous SPMD body ------------------------------------------------
+    # -- the SPMD body: one stage loop at look-ahead depth 0 or 1 -----------------
     def _rank_main(self, comm: Comm):
         bc, grid = self.bc, self.grid
+        depth = 1 if self.lookahead else 0
         my_row, my_col = grid.coords(comm.rank)
         rows = bc.local_rows(my_row)
         cols = bc.local_cols(my_col)
@@ -537,80 +655,68 @@ class DistributedHPL:
                               dtype=self.np_dtype)
         cache = PackCache() if self.pack_cache else None
         pool = as_buffer_pool(self.buffer_pool)  # per-rank arena
-        k_start, stage_pivots, _saved_panel = self._restore(comm, a_loc)
-        bcast_wall_s, bcast_calls = 0.0, 0  # per-algorithm broadcast time
+        # ``panel`` is this owner-column rank's (g_rows, block, ipiv) of
+        # a factored panel not yet consumed (None elsewhere). A depth-1
+        # cut restores the in-flight one; a depth-0 cut has none, and
+        # the panel is factored anew.
+        k_start, stage_pivots, panel = self._restore(comm, a_loc)
+        wire = _StageWire(self, comm, depth)
+        track = depth and comm.rank == 0  # rank 0's per-stage overlap
+        stage_overlap: List[Tuple[float, float]] = []
 
         for k in range(k_start, self._k_stop):
-            self._panel_boundary(comm, k, k_start, a_loc, stage_pivots)
             k0 = k * self.nb
             kw = min(self.nb, self.n - k0)
             owner_row = k % grid.p
-            owner_col = k % grid.q
-            panel_root = grid.rank_of(owner_row, owner_col)
-            panel_global_cols = np.arange(k0, k0 + kw)
-            my_panel_cols = np.flatnonzero(np.isin(cols, panel_global_cols))
-            below = rows >= k0  # local rows in the panel's row range
+            self._panel_boundary(
+                comm, k, k_start, a_loc, stage_pivots, panel_state=panel
+            )
+            snap0 = comm.stats.overlap_snapshot() if track else None
 
-            # 1. Gather the panel to the diagonal rank and factor it.
-            ipiv = None
-            if my_col == owner_col:
-                _g_rows, _block, ipiv = self._factor_panel(
-                    comm, a_loc, rows, cols, k, pool=pool
-                )
-
-            # Pivots broadcast world-wide.
-            ipiv = comm.bcast(ipiv, root=panel_root)
+            # 1. Panel k: factored here at depth 0 (and for the first
+            # stage at depth 1 when no cut restored it), otherwise
+            # during stage k-1; then it travels to every rank.
+            if not depth or k == k_start:
+                if my_col == k % grid.q and panel is None:
+                    panel = self._factor_panel(comm, a_loc, rows, cols, k, pool=pool)
+                wire.launch(k, panel)
+            g_rows, panel_rows, ipiv = wire.panel(k, panel)
+            panel = None
             stage_pivots.append(np.asarray(ipiv))
-            pairs = pivot_pairs_from_ipiv(k0, ipiv)
 
             # 2. Distributed row exchange on everything but the panel cols.
-            col_mask = ~np.isin(cols, panel_global_cols)
+            col_mask = ~((cols >= k0) & (cols < k0 + kw))
             exchange = (
                 exchange_pivot_rows_long
                 if self.swap_algo == "long"
                 else exchange_pivot_rows
             )
-            exchange(comm, bc, a_loc, pairs, col_mask, tag_base=10_000 + 1000 * k)
+            exchange(comm, bc, a_loc, pivot_pairs_from_ipiv(k0, ipiv),
+                     col_mask, tag_base=10_000 + 1000 * k)
 
-            # 3a. Panel broadcast along process rows: each rank receives
-            # the factored panel rows matching its own local rows.
-            if my_col == owner_col:
-                payload = (rows[below], a_loc[np.ix_(np.flatnonzero(below), my_panel_cols)])
-            else:
-                payload = None
-            t_bc = time.perf_counter()
-            g_rows, panel_rows = self._row_bcast(comm, payload, my_row, owner_col)
-            bcast_wall_s += time.perf_counter() - t_bc
-            bcast_calls += 1
-
-            # 3b. The diagonal row solves its trailing U blocks and
-            # broadcasts them down the columns.
+            # 3. The diagonal row solves its trailing U blocks, which
+            # then travel down the process columns.
             l11_rows = (g_rows >= k0) & (g_rows < k0 + kw)
             trail_cols_mask = cols >= k0 + kw
+            u_block = None
             if my_row == owner_row:
                 l11 = panel_rows[l11_rows][np.argsort(g_rows[l11_rows])]
                 u_rows_local = np.flatnonzero((rows >= k0) & (rows < k0 + kw))
                 if trail_cols_mask.any():
-                    u_block = a_loc[np.ix_(u_rows_local, np.flatnonzero(trail_cols_mask))]
+                    u_idx = np.ix_(u_rows_local, np.flatnonzero(trail_cols_mask))
+                    u_block = a_loc[u_idx]
                     trsm_lower_unit_left(l11, u_block, pool=pool)
-                    a_loc[np.ix_(u_rows_local, np.flatnonzero(trail_cols_mask))] = u_block
+                    a_loc[u_idx] = u_block
                 else:
                     u_block = np.empty((kw, 0), dtype=a_loc.dtype)
-                u_payload = u_block
-            else:
-                u_payload = None
-            u_block = comm.bcast(
-                u_payload,
-                root=grid.rank_of(owner_row, my_col),
-                ranks=grid.col_ranks(my_col),
-            )
+            u_block = wire.u(k, u_block)
 
-            # 4. Local trailing update (optionally via the offload
-            # engine). The update is issued as the same early/rest
-            # column split the look-ahead schedule uses — BLAS results
-            # depend on the operand shapes, so sharing the exact call
-            # sequence is what keeps the two schedules bit-for-bit
-            # identical.
+            # 4. Trailing update, issued as the next panel's columns
+            # ("early") then the rest: BLAS results depend on operand
+            # shapes, so one call sequence keeps every depth bitwise
+            # identical. At depth 1 the next panel's owner column
+            # factors panel k+1 between the two and starts it on its
+            # way, so its broadcast drains behind the rest.
             trail_rows = np.flatnonzero(rows >= k0 + kw)
             trail_cols = np.flatnonzero(trail_cols_mask)
             # panel_rows are ordered like this rank's local rows, so
@@ -623,6 +729,12 @@ class DistributedHPL:
                     u_block[:, early_sel], cache, k, ("dist.u", k, "early"),
                     pool=pool,
                 )
+            if depth and k + 1 < bc.n_blocks:
+                if my_col == (k + 1) % grid.q:
+                    panel = self._factor_panel(
+                        comm, a_loc, rows, cols, k + 1, pool=pool
+                    )
+                wire.launch(k + 1, panel)
             if trail_rows.size and rest_sel.size:
                 self._local_update(
                     a_loc, trail_rows, trail_cols[rest_sel], l21,
@@ -634,170 +746,8 @@ class DistributedHPL:
                 cache.invalidate(("dist.u", k, "early"))
                 cache.invalidate(("dist.u", k, "rest"))
 
-        if self._k_stop < bc.n_blocks:
-            # Segment boundary: force a consistent cut at the regrid
-            # panel; the redistribution engine rewrites it for the next
-            # grid and run() resumes from there.
-            self._save_cut(comm, self._k_stop, a_loc, stage_pivots)
-            return None
-
-        return self._epilogue(
-            comm, a_loc, rows, cols, stage_pivots, cache, bcast_wall_s,
-            bcast_calls, [], pool=pool,
-        )
-
-    # -- the look-ahead SPMD body --------------------------------------------------
-    def _rank_main_lookahead(self, comm: Comm):
-        bc, grid = self.bc, self.grid
-        my_row, my_col = grid.coords(comm.rank)
-        rows = bc.local_rows(my_row)
-        cols = bc.local_cols(my_col)
-        a_loc = hpl_submatrix(self.n, rows, cols, seed=self.seed,
-                              dtype=self.np_dtype)
-        cache = PackCache() if self.pack_cache else None
-        pool = as_buffer_pool(self.buffer_pool)  # per-rank arena
-        k_start, stage_pivots, saved_panel = self._restore(comm, a_loc)
-        nstages = bc.n_blocks
-        algo = self.bcast_algo
-        chunk = self.chunk_bytes
-        send_reqs: List[Any] = []
-        pending: Optional[RecvRequest] = None
-        panel_state = None  # (g_rows, block, ipiv) on owner-column ranks
-        track = comm.rank == 0  # rank 0 records per-stage overlap deltas
-        stage_overlap: List[Tuple[float, float]] = []
-
-        # The first stage has nothing to hide behind: factor its panel
-        # (on a restore: reuse the checkpointed, already-factored panel
-        # whose broadcast was in flight at the cut) and launch the
-        # broadcast up front.
-        first_owner_col = k_start % grid.q
-        if my_col == first_owner_col:
-            if k_start and saved_panel is None:
-                raise RuntimeError(
-                    f"rank {comm.rank}: checkpoint at cursor {k_start} is "
-                    "missing the in-flight panel state"
-                )
-            panel_state = (
-                saved_panel
-                if saved_panel is not None
-                else self._factor_panel(comm, a_loc, rows, cols, k_start, pool=pool)
-            )
-            send_reqs += ibcast_panel_start(
-                comm, grid, panel_state, first_owner_col, _PANEL_TAG + k_start,
-                algo=algo, chunk_bytes=chunk,
-            )
-        else:
-            pending = ibcast_panel_post(
-                comm, grid, first_owner_col, _PANEL_TAG + k_start, algo=algo
-            )
-
-        for k in range(k_start, self._k_stop):
-            k0 = k * self.nb
-            kw = min(self.nb, self.n - k0)
-            owner_row = k % grid.p
-            owner_col = k % grid.q
-            self._panel_boundary(
-                comm, k, k_start, a_loc, stage_pivots,
-                panel_state=panel_state if my_col == owner_col else None,
-            )
-            snap0 = comm.stats.overlap_snapshot() if track else None
-
-            # 1. Collect the stage panel (+ pivots, riding along) that
-            # started broadcasting during the previous stage.
-            if my_col == owner_col:
-                g_rows, panel_rows, ipiv = panel_state
-            else:
-                (g_rows, panel_rows, ipiv), fwd = ibcast_panel_finish(
-                    comm, grid, pending, owner_col, _PANEL_TAG + k, algo=algo, chunk_bytes=chunk
-                )
-                send_reqs += fwd
-            stage_pivots.append(np.asarray(ipiv))
-            pairs = pivot_pairs_from_ipiv(k0, ipiv)
-
-            # 2. Distributed row exchange on everything but the panel cols.
-            panel_global_cols = np.arange(k0, k0 + kw)
-            col_mask = ~np.isin(cols, panel_global_cols)
-            exchange = (
-                exchange_pivot_rows_long
-                if self.swap_algo == "long"
-                else exchange_pivot_rows
-            )
-            exchange(comm, bc, a_loc, pairs, col_mask, tag_base=10_000 + 1000 * k)
-
-            # 3. U solve on the diagonal row; the U broadcast drains via
-            # isend behind the sender's own trailing update.
-            l11_rows = (g_rows >= k0) & (g_rows < k0 + kw)
-            trail_cols_mask = cols >= k0 + kw
-            if my_row == owner_row:
-                l11 = panel_rows[l11_rows][np.argsort(g_rows[l11_rows])]
-                u_rows_local = np.flatnonzero((rows >= k0) & (rows < k0 + kw))
-                if trail_cols_mask.any():
-                    u_block = a_loc[np.ix_(u_rows_local, np.flatnonzero(trail_cols_mask))]
-                    trsm_lower_unit_left(l11, u_block, pool=pool)
-                    a_loc[np.ix_(u_rows_local, np.flatnonzero(trail_cols_mask))] = u_block
-                else:
-                    u_block = np.empty((kw, 0), dtype=a_loc.dtype)
-                for peer in grid.col_ranks(my_col):
-                    if peer != comm.rank:
-                        send_reqs.append(
-                            comm.isend(u_block, peer, tag=_U_TAG + k, chunk_bytes=chunk, op="bcast")
-                        )
-            else:
-                u_block = comm.recv(grid.rank_of(owner_row, my_col), tag=_U_TAG + k)
-
-            # 4. Trailing update with look-ahead: the next panel's
-            # columns go first, panel k+1 is factored and its broadcast
-            # starts, then the rest of the update hides the drain.
-            trail_rows = np.flatnonzero(rows >= k0 + kw)
-            trail_cols = np.flatnonzero(trail_cols_mask)
-            l21 = panel_rows[g_rows >= k0 + kw]
-            have_next = k + 1 < nstages
-            next_owner_col = (k + 1) % grid.q
-            early_sel, rest_sel = self._split_trailing_cols(cols, trail_cols_mask, k)
-            if have_next and my_col == next_owner_col:
-                if trail_rows.size and early_sel.size:
-                    self._local_update(
-                        a_loc,
-                        trail_rows,
-                        trail_cols[early_sel],
-                        l21,
-                        u_block[:, early_sel],
-                        cache,
-                        k,
-                        ("dist.u", k, "early"),
-                        pool=pool,
-                    )
-                panel_state = self._factor_panel(
-                    comm, a_loc, rows, cols, k + 1, pool=pool
-                )
-                send_reqs += ibcast_panel_start(
-                    comm, grid, panel_state, next_owner_col, _PANEL_TAG + k + 1,
-                    algo=algo, chunk_bytes=chunk,
-                )
-            elif have_next:
-                pending = ibcast_panel_post(
-                    comm, grid, next_owner_col, _PANEL_TAG + k + 1, algo=algo
-                )
-
-            if trail_rows.size and rest_sel.size:
-                self._local_update(
-                    a_loc,
-                    trail_rows,
-                    trail_cols[rest_sel],
-                    l21,
-                    u_block[:, rest_sel],
-                    cache,
-                    k,
-                    ("dist.u", k, "rest"),
-                    pool=pool,
-                )
-            if cache is not None:
-                cache.invalidate(("dist.l21", k))
-                cache.invalidate(("dist.u", k, "early"))
-                cache.invalidate(("dist.u", k, "rest"))
-
             # Settle completed sends so hidden time accrues per stage.
-            send_reqs = [r for r in send_reqs if not r.test()]
+            wire.settle()
             if track:
                 snap1 = comm.stats.overlap_snapshot()
                 stage_overlap.append(
@@ -807,26 +757,22 @@ class DistributedHPL:
                     )
                 )
 
-        comm.waitall(send_reqs)
+        comm.waitall(wire.sends)
 
-        if self._k_stop < nstages:
-            # Segment boundary. The look-ahead already factored panel
-            # ``k_stop`` (during stage ``k_stop - 1``) and wrote it back
-            # into ``a_loc``, so the cut carries the in-flight panel
-            # state exactly like a cadence checkpoint would.
+        if self._k_stop < bc.n_blocks:
+            # Segment boundary: force a consistent cut at the regrid
+            # panel; the redistribution engine rewrites it for the next
+            # grid and run() resumes from there. At depth 1 panel
+            # ``k_stop`` is already factored into ``a_loc`` and the cut
+            # carries its in-flight state, like a cadence checkpoint.
             self._save_cut(
-                comm, self._k_stop, a_loc, stage_pivots,
-                panel_state=(
-                    panel_state
-                    if my_col == self._k_stop % grid.q
-                    else None
-                ),
+                comm, self._k_stop, a_loc, stage_pivots, panel_state=panel
             )
             return None
 
         return self._epilogue(
-            comm, a_loc, rows, cols, stage_pivots, cache, 0.0, 0, stage_overlap,
-            pool=pool,
+            comm, a_loc, rows, cols, stage_pivots, cache, wire.bcast_wall_s,
+            wire.bcast_calls, stage_overlap, pool=pool,
         )
 
     # -- epilogue: gather, solve, report ------------------------------------------
@@ -938,24 +884,6 @@ class DistributedHPL:
                     if refine_report is not None else None),
         )
 
-    def _row_bcast(self, comm: Comm, payload, my_row: int, owner_col: int):
-        """Panel broadcast along this rank's process row with the
-        configured algorithm."""
-        group = self.grid.row_ranks(my_row)
-        root = self.grid.rank_of(my_row, owner_col)
-        if self.bcast_algo == "ring":
-            return ring_bcast(comm, payload, root, group)
-        if self.bcast_algo == "binomial":
-            return binomial_bcast(comm, payload, root, group)
-        if self.bcast_algo == "ring-mod":
-            segments = 1
-            if payload is not None:
-                segments = max(1, -(-payload[1].nbytes // self.chunk_bytes))
-            return segmented_ring_bcast_nb(
-                comm, payload, root, group, segments=segments
-            )
-        return comm.bcast(payload, root=root, ranks=group)
-
     def _harvest_resilience(self, world: World, totals: dict) -> None:
         """Accumulate every rank's reliable-channel counters from one
         (possibly failed) attempt into the run totals."""
@@ -1014,6 +942,17 @@ class DistributedHPL:
                 report["checkpoint_time_s"], count=report["checkpoints"]
             )
 
+    def _relayout(self, new_grid: ProcessGrid, cursor: int) -> Dict[str, float]:
+        """Rewrite the checkpoint cut at ``cursor`` from the current grid
+        to ``new_grid``; returns the redistribution's accounting."""
+        plan = plan_relayout(
+            self.n, self.nb, self.grid, new_grid, dtype=self.dtype
+        )
+        return redistribute(
+            self.checkpoint_store, plan, cursor,
+            chunk_bytes=self.chunk_bytes, buffer_pool=self.buffer_pool,
+        )
+
     def run(self) -> DistributedResult:
         # A pool is built when a width was asked for, or whenever the
         # process backend was picked (its whole point is the pool).
@@ -1023,14 +962,11 @@ class DistributedHPL:
             else None
         )
         self._executor = executor
-        body = self._rank_main_lookahead if self.lookahead else self._rank_main
         profiler = AllocProfiler(enabled=self.alloc_profile)
         totals: dict = {}
         attempts = 0
         recoveries = 0
-        regrids = 0
-        regrid_wall_s = 0.0
-        regrid_moved = 0
+        relayouts: List[Dict[str, float]] = []  # redistribute() stats
         self._resume_cursor = None
         spans = list(segments(self.bc.n_blocks, self._grid0, self.regrid))
         seg = 0
@@ -1057,25 +993,13 @@ class DistributedHPL:
                         retry=self.retry,
                     )
                     try:
-                        results = world.run(body)
+                        results = world.run(self._rank_main)
                         self._harvest_resilience(world, totals)
                         if k_stop >= self.bc.n_blocks:
                             break
                         # Segment boundary: rewrite the forced cut for
                         # the next grid and resume from it there.
-                        next_grid = spans[seg + 1][0]
-                        plan = plan_relayout(
-                            self.n, self.nb, self.grid, next_grid,
-                            dtype=self.dtype,
-                        )
-                        stats = redistribute(
-                            self.checkpoint_store, plan, k_stop,
-                            chunk_bytes=self.chunk_bytes,
-                            buffer_pool=self.buffer_pool,
-                        )
-                        regrids += 1
-                        regrid_wall_s += stats["wall_s"]
-                        regrid_moved += int(stats["moved_bytes"])
+                        relayouts.append(self._relayout(spans[seg + 1][0], k_stop))
                         self._resume_cursor = k_stop
                         seg += 1
                     except RankCrashError:
@@ -1097,18 +1021,7 @@ class DistributedHPL:
                             new_grid = survivor_grid(survivors)
                             cut = store.latest_complete(self.grid.size)
                             if cut is not None:
-                                plan = plan_relayout(
-                                    self.n, self.nb, self.grid, new_grid,
-                                    dtype=self.dtype,
-                                )
-                                stats = redistribute(
-                                    store, plan, cut,
-                                    chunk_bytes=self.chunk_bytes,
-                                    buffer_pool=self.buffer_pool,
-                                )
-                                regrids += 1
-                                regrid_wall_s += stats["wall_s"]
-                                regrid_moved += int(stats["moved_bytes"])
+                                relayouts.append(self._relayout(new_grid, cut))
                             self._resume_cursor = cut
                             totals["shrinks"] = totals.get("shrinks", 0) + 1
                             spans[seg] = (
@@ -1141,9 +1054,9 @@ class DistributedHPL:
             out.factor_time_s = max(0.0, wall_s - out.refine_time_s)
         out.gflops = LUTiming.hpl_flops(self.n) / wall_s / 1e9
         out.alloc = profiler.to_dict()
-        out.regrids = regrids
-        out.regrid_wall_s = regrid_wall_s
-        out.regrid_moved_bytes = regrid_moved
+        out.regrids = len(relayouts)
+        out.regrid_wall_s = sum(s["wall_s"] for s in relayouts)
+        out.regrid_moved_bytes = sum(int(s["moved_bytes"]) for s in relayouts)
         if self.resilient:
             out.resilience = self._resilience_report(attempts, recoveries, totals)
         if out.metrics is not None:
@@ -1153,11 +1066,11 @@ class DistributedHPL:
                 executor.publish(out.metrics)
             if out.resilience is not None:
                 self._publish_resilience(out.metrics, out.resilience)
-            if regrids:
-                out.metrics.counter("elastic.regrids").inc(regrids)
-                out.metrics.gauge("elastic.regrid_wall_s").set(regrid_wall_s)
+            if out.regrids:
+                out.metrics.counter("elastic.regrids").inc(out.regrids)
+                out.metrics.gauge("elastic.regrid_wall_s").set(out.regrid_wall_s)
                 out.metrics.counter("elastic.regrid_moved_bytes").inc(
-                    regrid_moved
+                    out.regrid_moved_bytes
                 )
         if executor is not None:
             executor.close()

@@ -1,18 +1,18 @@
-"""Panel broadcast along process rows.
+"""Non-blocking panel broadcast along process rows (look-ahead depth 1).
 
 After the stage-k panel is factored in process column ``k mod Q``, every
 other column needs the L rows matching *its own* local rows before it
 can run the trailing update. Each rank of the owner column therefore
 broadcasts its local slice of the factored panel along its process row —
 the "L broadcast" of the HPL stage (and the ``t_lbcast`` term of the
-hybrid timing model).
+hybrid timing model). At depth 0 that is a blocking collective
+(``Comm.bcast`` or one of :mod:`repro.cluster.bcast_algos`).
 
-The ``ibcast_panel_*`` helpers are the non-blocking counterpart the
-look-ahead schedule uses: the owner *starts* the broadcast with
-``isend`` (star fan-out, or a store-and-forward ring for HPL's
-"ring-modified" shape) and returns immediately; receivers post an
-``irecv`` up front and collect the panel one stage later, after their
-trailing update has been running while the message drained.
+The ``ibcast_panel_*`` helpers are the depth-1 form: the owner *starts*
+the broadcast with ``isend`` (star fan-out, or a store-and-forward ring
+for HPL's "ring-modified" shape) and returns immediately; receivers
+post an ``irecv`` up front and collect the panel one stage later, after
+their trailing update has been running while the message drained.
 """
 
 from __future__ import annotations
@@ -21,32 +21,6 @@ from typing import Any, List, Optional, Tuple
 
 from repro.cluster.comm import Comm, RecvRequest, SendRequest
 from repro.cluster.grid import ProcessGrid
-
-
-def bcast_along_row(
-    comm: Comm, grid: ProcessGrid, payload: Any, owner_col: int
-) -> Any:
-    """Broadcast ``payload`` from the ``owner_col`` member of this rank's
-    process row to the whole row; returns the received payload.
-
-    Every rank of the grid must call this (SPMD).
-    """
-    my_row, _my_col = grid.coords(comm.rank)
-    root = grid.rank_of(my_row, owner_col)
-    return comm.bcast(payload, root=root, ranks=grid.row_ranks(my_row))
-
-
-def bcast_along_col(
-    comm: Comm, grid: ProcessGrid, payload: Any, owner_row: int
-) -> Any:
-    """Broadcast down this rank's process column from ``owner_row`` — the
-    U broadcast of the HPL stage (``t_ubcast``)."""
-    _my_row, my_col = grid.coords(comm.rank)
-    root = grid.rank_of(owner_row, my_col)
-    return comm.bcast(payload, root=root, ranks=grid.col_ranks(my_col))
-
-
-# -- non-blocking look-ahead panel broadcast ------------------------------------
 
 
 def _ring_order(grid: ProcessGrid, my_row: int, owner_col: int) -> List[int]:
@@ -80,7 +54,7 @@ def ibcast_panel_start(
         return []
     if algo in ("ring", "ring-mod"):
         dests = [order[1]]
-    else:  # star fan-out (also used for "binomial" — depth 1 in q<=2 grids)
+    else:  # star fan-out; "binomial" also runs as a star, on every grid
         dests = order[1:]
     return [
         comm.isend(payload, dest, tag=tag, chunk_bytes=chunk_bytes, op="bcast")

@@ -23,19 +23,22 @@ The SPMD protocol, per rank of the joint world:
 2. ranks that exist in the *new* layout assemble their new ``a_loc``
    from rank-local stay blocks plus the received messages;
 3. the scalar restart state replicates: rank 0 broadcasts the
-   accumulated pivots and epoch; for a look-ahead cut, an old
-   owner-column rank broadcasts the in-flight panel's ``ipiv`` and
-   every *new* owner-column rank reconstructs its panel slice from the
-   redistributed tiles (the factored panel already lives in ``a_loc``,
-   so only the pivot vector crosses the wire);
+   accumulated pivots and epoch; for a look-ahead cut, the old
+   owner-column rank of process row 0 (the *panel source*) broadcasts
+   the in-flight panel's ``ipiv`` and every *new* owner-column rank
+   reconstructs its panel slice from the redistributed tiles (the
+   factored panel already lives in ``a_loc``, so only the pivot vector
+   crosses the wire). A panel source that is leaving the world (a
+   shrink) sends the pivots to rank 0 before it exits — on every cut,
+   ``None`` on a synchronous one — and rank 0 broadcasts them instead;
 4. every new rank saves its blob back at the same cursor under the new
    layout header.
 
 Blob keys are per-rank, and each rank only ever reads its *own* old
 blob and writes its *own* new one, so the in-place rewrite needs no
-cross-rank ordering. Old-only ranks (a shrink) send their blocks and
-exit; their stale blobs are simply never part of a
-``latest_complete(new_world_size)`` cut again.
+cross-rank ordering. Old-only ranks (a shrink) send their blocks (and,
+as panel source, the pivots) and exit; their stale blobs are simply
+never part of a ``latest_complete(new_world_size)`` cut again.
 """
 
 from __future__ import annotations
@@ -149,8 +152,19 @@ def _redistribute_rank(
                        chunk_bytes=chunk_bytes, op="redistribute")
         )
 
+    # A look-ahead cut saves the in-flight panel's pivots on every old
+    # owner-column rank; the one in process row 0 is their source.
+    panel_src = old_grid.rank_of(0, cursor % old.q)
+    panel_ipiv = None
+    if rank == panel_src and "panel_ipiv" in old_state:
+        panel_ipiv = np.asarray(old_state["panel_ipiv"])
+
     if rank >= new_size:
-        # Old-only rank (shrink): its blocks are on the wire; done.
+        # Old-only rank (shrink): its blocks are on the wire. As the
+        # panel source it leaves the world, so it first hands the
+        # pivots to rank 0, which broadcasts them among the survivors.
+        if rank == panel_src:
+            comm.send(panel_ipiv, 0, tag=_REDIST_TAG - 1)
         comm.waitall(send_reqs)
         return sent_bytes
 
@@ -168,36 +182,22 @@ def _redistribute_rank(
             new_a[_block_slice(new_bc, t.bi, t.bj)] = block
 
     # Replicated restart state: pivots and epoch from rank 0 (present
-    # in every layout), the in-flight panel pivots from an old
-    # owner-column rank (look-ahead cuts save them there).
+    # in every layout), the in-flight panel pivots from the panel source
+    # (or from rank 0, which took them from a leaving source).
     meta = None
     if rank == 0:
         meta = (
             [np.asarray(p) for p in old_state["pivots"]],
             int(old_state["epoch"]),
         )
-    pivots, epoch = comm.bcast(meta, root=0, ranks=list(range(new_size)))
-    panel_src = old_grid.rank_of(0, cursor % old.q)
-    panel_ipiv = None
-    if rank == panel_src:
-        panel_ipiv = (
-            np.asarray(old_state["panel_ipiv"])
-            if "panel_ipiv" in old_state else None
-        )
-    if panel_src < new_size:
-        panel_ipiv = comm.bcast(
-            panel_ipiv, root=panel_src, ranks=list(range(new_size))
-        )
-    else:
-        # The source rank is leaving the world; it pushes to rank 0,
-        # which broadcasts among the survivors.
-        if rank == panel_src:
-            comm.send(panel_ipiv, 0, tag=_REDIST_TAG - 1)
+    new_ranks = list(range(new_size))
+    pivots, epoch = comm.bcast(meta, root=0, ranks=new_ranks)
+    panel_root = panel_src
+    if panel_src >= new_size:
+        panel_root = 0
         if rank == 0:
             panel_ipiv = comm.recv(panel_src, tag=_REDIST_TAG - 1)
-        panel_ipiv = comm.bcast(
-            panel_ipiv, root=0, ranks=list(range(new_size))
-        )
+    panel_ipiv = comm.bcast(panel_ipiv, root=panel_root, ranks=new_ranks)
 
     state = {
         "epoch": epoch,

@@ -503,7 +503,8 @@ RUN_FLAGS: Tuple[FlagDef, ...] = (
                        "help": "overlap panel broadcast with the trailing "
                                "update (Section IV)"}}),
     FlagDef("bcast_algo", "--bcast-algo",
-            "panel-broadcast algorithm (ring-mod = pipelined segmented ring)",
+            "panel-broadcast algorithm (ring-mod = pipelined segmented "
+            "ring; with --lookahead, binomial runs as a star)",
             choices=BCAST_ALGOS, type=str,
             kinds={"distributed": {"default": "star"}}),
     FlagDef("chunk_kb", "--chunk-kb",

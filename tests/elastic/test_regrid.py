@@ -110,6 +110,35 @@ class TestShrinkOnDeath:
             DistributedHPL(**CFG, p=2, q=2, on_rank_death="panic")
 
 
+class TestLeavingPanelSource:
+    """Shrinks whose in-flight panel owner (process row 0, column
+    ``cursor % Q``) is not in the new world: it must hand the panel
+    pivots over before it leaves, or the relayout deadlocks."""
+
+    @pytest.mark.parametrize("lookahead", [False, True],
+                             ids=["sync", "lookahead"])
+    def test_shrink_on_death_from_1x4_at_cursor_3(self, lookahead):
+        cfg = dict(n=64, nb=8, seed=42, lookahead=lookahead)
+        ref = DistributedHPL(**cfg, p=1, q=3).run()
+        r = DistributedHPL(**cfg, p=1, q=4, checkpoint_every=3,
+                           fault_plan="crash:rank=1,stage=4",
+                           on_rank_death="shrink").run()
+        _bitwise(r, ref)
+        assert (r.p, r.q) == (1, 3)
+        assert r.resilience["shrinks"] == 1
+        assert r.regrids == 1
+
+    @pytest.mark.parametrize("lookahead", [False, True],
+                             ids=["sync", "lookahead"])
+    def test_regrid_2x4_to_1x2(self, lookahead):
+        cfg = dict(n=96, nb=8, seed=42, lookahead=lookahead)
+        ref = DistributedHPL(**cfg, p=1, q=2).run()
+        r = DistributedHPL(**cfg, p=2, q=4, regrid=["panel=3:1x2"]).run()
+        _bitwise(r, ref)
+        assert (r.p, r.q) == (1, 2)
+        assert r.regrids == 1
+
+
 class TestLayoutGuard:
     def test_same_geometry_resume_refuses_foreign_checkpoint(self):
         # A store written under 2x4 cannot restore a 2x2 run: the blob's

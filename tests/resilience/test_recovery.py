@@ -69,6 +69,26 @@ class TestCrashRecovery:
         assert store.cursors(0)  # blobs landed on disk
 
 
+class TestCrossDepthRestore:
+    @pytest.mark.parametrize("written,resumed", [(False, True), (True, False)],
+                             ids=["sync-cut-lookahead-run",
+                                  "lookahead-cut-sync-run"])
+    def test_cut_restores_at_the_other_depth(self, written, resumed):
+        # A look-ahead cut carries its already-factored in-flight panel;
+        # a synchronous cut has none, so the panel is factored on
+        # resume. Either cut resumes at either depth, bitwise.
+        store = CheckpointStore()
+        DistributedHPL(**CFG, lookahead=written, checkpoint_every=2,
+                       checkpoint_store=store).run()
+        r = DistributedHPL(**CFG, lookahead=resumed, checkpoint_every=99,
+                           checkpoint_store=store,
+                           fault_plan="crash:rank=1,stage=1",
+                           retry=RETRY).run()
+        assert r.resilience["recoveries"] == 1
+        assert r.resilience["restores"] > 0
+        _assert_bitwise(r, _baseline(resumed))
+
+
 class TestTransparentHealing:
     def test_drop_and_duplicate_heal_bitwise(self):
         ref = _baseline()
